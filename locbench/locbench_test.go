@@ -13,8 +13,45 @@ import (
 	"time"
 
 	"mapdr/internal/locserv"
+	"mapdr/internal/sim"
+	"mapdr/internal/tracegen"
 	"mapdr/internal/wire"
 )
+
+// TestFleetOnEverySeed: the benchmark's fleet equals sim.GenerateFleet's
+// where that succeeds, and seed 23's city, whose node 654 lost all its
+// streets, still gets a full fleet (sim.GenerateFleet fails there).
+func TestFleetOnEverySeed(t *testing.T) {
+	for _, seed := range []int64{1, 23} {
+		g, err := cityGraph(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := g.NumNodes() // every node is some vehicle's start
+		fi, err := genFleet(g, seed, n, 500, cityConfig)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		ref, err := sim.GenerateFleet(g, locserv.New(), sim.FleetSpec{
+			N: n, Seed: seed, RouteLen: 500, Workers: 2,
+			IDFormat: "car-%05d", Params: tracegen.CityCarParams(), Source: cityConfig,
+		})
+		if seed == 23 {
+			if err == nil {
+				t.Error("seed 23: sim.GenerateFleet succeeded; the test no longer covers an island start node")
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("seed %d: sim.GenerateFleet: %v", seed, err)
+		}
+		for i, o := range ref {
+			if o.ID != fi.ids[i] || fmt.Sprint(o.Truth.Samples) != fmt.Sprint(fi.truth[i].Samples) {
+				t.Fatalf("seed %d: vehicle %d differs from sim.GenerateFleet's", seed, i)
+			}
+		}
+	}
+}
 
 // TestInputsSeeded: one seed always yields the same update stream,
 // background-frame schedule and query sequence; another seed yields
