@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mapdr/internal/experiments"
+	"mapdr/internal/locserv"
 )
 
 var tinyOpts = experiments.Options{Seed: 42, Scale: 0.05}
@@ -102,5 +103,53 @@ func TestRunChurn(t *testing.T) {
 	cfg := fleetConfig{shards: 8, workers: 2, seed: 42, scale: 0.01}
 	if err := runChurn(cfg, true); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunClusterDrills runs the five cluster drills at the CI-smoke
+// sizes. Each drill hard-asserts its own contract (zero query errors,
+// demotion, steal and resume, bit-identical convergence), so a nil
+// error is the pass condition. Each drill must also reject a cluster
+// too small for its fault script, and R<2 where a lost partition
+// could not survive the fault.
+func TestRunClusterDrills(t *testing.T) {
+	drills := []struct {
+		name     string
+		run      func(fleetConfig, bool) error
+		nodes    int  // CI-smoke size
+		minNodes int  // one fewer is rejected
+		needR2   bool // R=1 is rejected
+	}{
+		{"cluster", runCluster, 4, 1, false},
+		{"failover", runFailover, 3, 2, true},
+		{"selfheal", runSelfheal, 4, 3, true},
+		{"chaos", runChaos, 4, 4, true},
+		{"fanin", runFanin, 4, 2, false},
+	}
+	for _, d := range drills {
+		t.Run(d.name, func(t *testing.T) {
+			cfg := fleetConfig{n: 30, nodes: d.nodes, replicas: 2, shards: locserv.DefaultShards,
+				workers: 2, seed: 42, scale: 0.1}
+			if err := d.run(cfg, true); err != nil {
+				t.Fatal(err)
+			}
+			few := cfg
+			few.nodes = d.minNodes - 1
+			if err := d.run(few, true); err == nil || !strings.Contains(err.Error(), "at least") {
+				t.Errorf("%d nodes: got %v, want a minimum-node rejection", few.nodes, err)
+			}
+			if d.needR2 {
+				r1 := cfg
+				r1.replicas = 1
+				if err := d.run(r1, true); err == nil || !strings.Contains(err.Error(), "-replicas >= 2") {
+					t.Errorf("R=1: got %v, want a -replicas >= 2 rejection", err)
+				}
+			}
+			bad := cfg
+			bad.scale = 0
+			if err := d.run(bad, true); err == nil {
+				t.Error("scale 0 should be rejected")
+			}
+		})
 	}
 }
