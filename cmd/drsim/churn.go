@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,11 +26,8 @@ import (
 // to the brute-force scan reference. Sized at 10k and 100k objects at
 // scale 1; -scale shrinks both.
 func runChurn(cfg fleetConfig, csv bool) error {
-	if cfg.scale <= 0 || cfg.scale > 1 {
-		return fmt.Errorf("scale must be in (0,1]")
-	}
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
+	if err := cfg.setDefaults(); err != nil {
+		return err
 	}
 	tb := stats.NewTable("objects", "shards", "workers", "updates", "updates/s",
 		"queries", "q p50 [us]", "p95 [us]", "p99 [us]",
@@ -201,14 +197,7 @@ func churnRun(cfg fleetConfig, n int, tb *stats.Table) error {
 
 	tb.AddRow(n, s.Shards(), writers, updates, float64(updates)/ingestWall.Seconds(),
 		queries, qs.Quantile(0.50)*1e6, qs.Quantile(0.95)*1e6, qs.Quantile(0.99)*1e6,
-		st.CellMoves, st.BoundRecomputes, float64(st.CellsVisited)/float64(max64(queries, 1)),
+		st.CellMoves, st.BoundRecomputes, float64(st.CellsVisited)/float64(max(queries, 1)),
 		st.RingExpansions, st.ScanFallbacks)
 	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,5 +1,5 @@
 // Command drsim regenerates the paper's tables and figures from the
-// simulation (see DESIGN.md for the experiment index).
+// simulation (README.md "Reproduce the paper" lists the experiments).
 //
 // Usage:
 //
@@ -82,15 +82,14 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"reflect"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"mapdr/internal/cluster"
-	"mapdr/internal/core"
 	"mapdr/internal/experiments"
 	"mapdr/internal/geo"
 	"mapdr/internal/locserv"
@@ -99,7 +98,6 @@ import (
 	"mapdr/internal/obs"
 	"mapdr/internal/sim"
 	"mapdr/internal/stats"
-	"mapdr/internal/tracegen"
 	"mapdr/internal/viz"
 	"mapdr/internal/wire"
 )
@@ -129,43 +127,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "drsim:", err)
 		os.Exit(1)
 	}
-	opts := experiments.Options{Seed: *seed, Scale: *scale}
-	if *exp == "fleet" {
-		err = runFleet(fleetConfig{
-			n: *fleetN, shards: *shards, workers: *workers, seed: *seed, scale: *scale,
+	if runFleetExp, ok := fleetExperiments[*exp]; ok {
+		err = runFleetExp(fleetConfig{
+			n: *fleetN, nodes: *nodes, replicas: *replicas, shards: *shards, workers: *workers,
+			seed: *seed, scale: *scale,
 			transport: *transport, loss: *loss, latency: *latency, jitter: *jitter,
 		}, *csv)
-	} else if *exp == "cluster" {
-		err = runCluster(fleetConfig{
-			n: *fleetN, nodes: *nodes, replicas: *replicas, shards: *shards, workers: *workers,
-			seed: *seed, scale: *scale,
-		}, *csv)
-	} else if *exp == "failover" {
-		err = runFailover(fleetConfig{
-			n: *fleetN, nodes: *nodes, replicas: *replicas, shards: *shards, workers: *workers,
-			seed: *seed, scale: *scale,
-		}, *csv)
-	} else if *exp == "selfheal" {
-		err = runSelfheal(fleetConfig{
-			n: *fleetN, nodes: *nodes, replicas: *replicas, shards: *shards, workers: *workers,
-			seed: *seed, scale: *scale,
-		}, *csv)
-	} else if *exp == "chaos" {
-		err = runChaos(fleetConfig{
-			n: *fleetN, nodes: *nodes, replicas: *replicas, shards: *shards, workers: *workers,
-			seed: *seed, scale: *scale,
-		}, *csv)
-	} else if *exp == "churn" {
-		err = runChurn(fleetConfig{
-			n: *fleetN, shards: *shards, workers: *workers, seed: *seed, scale: *scale,
-		}, *csv)
-	} else if *exp == "fanin" {
-		err = runFanin(fleetConfig{
-			n: *fleetN, nodes: *nodes, replicas: *replicas, shards: *shards, workers: *workers,
-			seed: *seed, scale: *scale,
-		}, *csv)
 	} else {
-		err = run(*exp, opts, *csv, *svg)
+		err = run(*exp, experiments.Options{Seed: *seed, Scale: *scale}, *csv, *svg)
 	}
 	if perr := stopProf(); err == nil {
 		err = perr
@@ -174,6 +143,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "drsim:", err)
 		os.Exit(1)
 	}
+}
+
+// fleetExperiments are the experiments configured by a fleetConfig
+// instead of experiments.Options.
+var fleetExperiments = map[string]func(fleetConfig, bool) error{
+	"fleet":    runFleet,
+	"cluster":  runCluster,
+	"failover": runFailover,
+	"selfheal": runSelfheal,
+	"chaos":    runChaos,
+	"churn":    runChurn,
+	"fanin":    runFanin,
 }
 
 // startProfiles enables CPU profiling and arranges the heap snapshot;
@@ -215,8 +196,7 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	}, nil
 }
 
-// fleetConfig parameterises the fleet, cluster and failover
-// experiments.
+// fleetConfig parameterises the fleet, churn and cluster experiments.
 type fleetConfig struct {
 	n, shards, workers    int
 	nodes, replicas       int
@@ -233,11 +213,8 @@ type fleetConfig struct {
 // frames POSTed over loopback TCP into the store's HTTP ingest
 // endpoint.
 func runFleet(cfg fleetConfig, csv bool) error {
-	if cfg.scale <= 0 || cfg.scale > 1 {
-		return fmt.Errorf("scale must be in (0,1]")
-	}
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
+	if err := cfg.setDefaults(); err != nil {
+		return err
 	}
 	// Set up the transport before the expensive map/fleet generation so
 	// a bad -transport flag fails instantly.
@@ -265,15 +242,7 @@ func runFleet(cfg fleetConfig, csv bool) error {
 	if err != nil {
 		return err
 	}
-	objs, err := sim.GenerateFleet(cor.Graph, svc, sim.FleetSpec{
-		N:        cfg.n,
-		Seed:     cfg.seed,
-		RouteLen: 15000 * cfg.scale,
-		Workers:  cfg.workers,
-		IDFormat: "car-%03d",
-		Params:   tracegen.CityCarParams(),
-		Source:   core.SourceConfig{US: 100, UP: 5, Sightings: 4},
-	})
+	objs, err := sim.GenerateFleet(cor.Graph, svc, cityFleetSpec(cfg))
 	if err != nil {
 		return err
 	}
@@ -285,10 +254,6 @@ func runFleet(cfg fleetConfig, csv bool) error {
 		return err
 	}
 	wall := time.Since(startT)
-	var updates int64
-	for _, n := range res.Updates {
-		updates += n
-	}
 	// "sent bytes" is the encoded record traffic offered to the
 	// transport (wire.Stats.BytesSent: id + reason + report per update);
 	// the server-side /stats wire_bytes counts applied reports only.
@@ -298,7 +263,7 @@ func runFleet(cfg fleetConfig, csv bool) error {
 	if name == "" {
 		name = "inproc"
 	}
-	tb.AddRow(cfg.n, svc.Shards(), fl.Workers, name, res.Samples, updates,
+	tb.AddRow(cfg.n, svc.Shards(), fl.Workers, name, res.Samples, totalUpdates(res),
 		res.Wire.Dropped, res.Wire.BytesSent, res.MeanErr,
 		wall.Milliseconds(), float64(res.Samples)/wall.Seconds())
 	return emit(tb, csv)
@@ -312,43 +277,17 @@ func runFleet(cfg fleetConfig, csv bool) error {
 // feeds the tail-latency report; per-node routed records and applied
 // updates show the partition balance.
 func runCluster(cfg fleetConfig, csv bool) error {
-	if cfg.scale <= 0 || cfg.scale > 1 {
-		return fmt.Errorf("scale must be in (0,1]")
-	}
-	if cfg.nodes < 1 {
-		return fmt.Errorf("need at least one cluster node")
-	}
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.replicas <= 0 {
-		cfg.replicas = 1
-	}
-	cor, err := mapgen.CityGrid(mapgen.DefaultCityConfig(cfg.seed))
+	s, err := newScenario(cfg, drillRules{name: "cluster", minNodes: 1,
+		nodesErr: "need at least one cluster node", defaultR: 1})
 	if err != nil {
 		return err
 	}
-	g := cor.Graph
-	members := make([]*cluster.Member, cfg.nodes)
-	for i := range members {
-		node := locserv.NewNodeService(locserv.NewSharded(cfg.shards),
-			func(locserv.ObjectID) core.Predictor { return core.NewMapPredictor(g) })
-		members[i] = cluster.NewLocalMember(fmt.Sprintf("node-%02d", i), node)
-	}
-	coord, err := cluster.NewReplicated(0, cfg.replicas, members...)
+	cfg = s.cfg
+	coord, _, _, err := s.coordinator(false)
 	if err != nil {
 		return err
 	}
-
-	objs, err := sim.GenerateFleet(g, coord, sim.FleetSpec{
-		N:        cfg.n,
-		Seed:     cfg.seed,
-		RouteLen: 15000 * cfg.scale,
-		Workers:  cfg.workers,
-		IDFormat: "car-%03d",
-		Params:   tracegen.CityCarParams(),
-		Source:   core.SourceConfig{US: 100, UP: 5, Sightings: 4},
-	})
+	objs, err := sim.GenerateFleet(s.g, coord, cityFleetSpec(cfg))
 	if err != nil {
 		return err
 	}
@@ -379,15 +318,11 @@ func runCluster(cfg fleetConfig, csv bool) error {
 		return err
 	}
 	wall := time.Since(startT)
-	var updates int64
-	for _, n := range res.Updates {
-		updates += n
-	}
 
 	qs := qLat.Snapshot()
 	tb := stats.NewTable("nodes", "R", "vehicles", "shards/node", "workers", "samples", "updates",
 		"mean err [m]", "wall [ms]", "samples/s", "10NN p50 [us]", "p95 [us]", "p99 [us]")
-	tb.AddRow(cfg.nodes, cfg.replicas, cfg.n, cfg.shards, fl.Workers, res.Samples, updates,
+	tb.AddRow(cfg.nodes, cfg.replicas, cfg.n, cfg.shards, fl.Workers, res.Samples, totalUpdates(res),
 		res.MeanErr, wall.Milliseconds(), float64(res.Samples)/wall.Seconds(),
 		qs.Quantile(0.50)*1e6, qs.Quantile(0.95)*1e6, qs.Quantile(0.99)*1e6)
 	if err := emit(tb, csv); err != nil {
@@ -402,46 +337,6 @@ func runCluster(cfg fleetConfig, csv bool) error {
 	}
 	return emit(nt, csv)
 }
-
-// multiRegistry registers fleet objects with both the cluster under
-// test and the no-failure reference store.
-type multiRegistry struct{ regs []locserv.Registry }
-
-func (m multiRegistry) Register(id locserv.ObjectID, pred core.Predictor) error {
-	for _, r := range m.regs {
-		if err := r.Register(id, pred); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (m multiRegistry) Deregister(id locserv.ObjectID) {
-	for _, r := range m.regs {
-		r.Deregister(id)
-	}
-}
-
-// teeTransport delivers every update batch to the cluster under test
-// and to the no-failure reference store, so the reference always holds
-// what a healthy cluster would.
-type teeTransport struct{ main, ref wire.Transport }
-
-func (t teeTransport) Send(now float64, batch []wire.Record) error {
-	if err := t.ref.Send(now, batch); err != nil {
-		return err
-	}
-	return t.main.Send(now, batch)
-}
-
-func (t teeTransport) Flush(now float64) error {
-	if err := t.ref.Flush(now); err != nil {
-		return err
-	}
-	return t.main.Flush(now)
-}
-
-func (t teeTransport) Stats() wire.Stats { return t.main.Stats() }
 
 // timedTransport records the longest wall-clock Send through the
 // cluster — the chaos experiment's proxy for an ingest blocking window:
@@ -469,10 +364,6 @@ func (t timedTransport) Send(now float64, batch []wire.Record) error {
 func (t timedTransport) Flush(now float64) error { return t.tr.Flush(now) }
 func (t timedTransport) Stats() wire.Stats       { return t.tr.Stats() }
 
-// failoverPhases labels the three measurement windows of the failover
-// experiment.
-var failoverPhases = [3]string{"healthy", "node down", "recovered"}
-
 // runFailover measures what a node crash costs an R-replicated cluster:
 // a fleet streams updates into faulty in-process members while every
 // simulated second issues a probe mix (sampled Position queries, one
@@ -483,144 +374,49 @@ var failoverPhases = [3]string{"healthy", "node down", "recovered"}
 // answer availability and staleness-in-metres per phase, plus the
 // hinted-handoff and read-repair accounting.
 func runFailover(cfg fleetConfig, csv bool) error {
-	if cfg.scale <= 0 || cfg.scale > 1 {
-		return fmt.Errorf("scale must be in (0,1]")
-	}
-	if cfg.nodes < 2 {
-		return fmt.Errorf("failover needs at least two cluster nodes")
-	}
-	if cfg.replicas <= 0 {
-		cfg.replicas = 2
-	}
-	if cfg.replicas < 2 {
-		return fmt.Errorf("failover needs -replicas >= 2 (a lost R=1 partition cannot answer)")
-	}
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-	}
-	cor, err := mapgen.CityGrid(mapgen.DefaultCityConfig(cfg.seed))
+	s, err := newScenario(cfg, drillRules{name: "failover", minNodes: 2,
+		nodesErr: "failover needs at least two cluster nodes",
+		defaultR: 2, r2Err: "failover needs -replicas >= 2 (a lost R=1 partition cannot answer)"},
+		"healthy", "node down", "recovered")
 	if err != nil {
 		return err
 	}
-	g := cor.Graph
-	members := make([]*cluster.Member, cfg.nodes)
-	injectors := make([]*cluster.FaultInjector, cfg.nodes)
-	for i := range members {
-		node := locserv.NewNodeService(locserv.NewSharded(cfg.shards),
-			func(locserv.ObjectID) core.Predictor { return core.NewMapPredictor(g) })
-		members[i], injectors[i] = cluster.NewFaultyMember(fmt.Sprintf("node-%02d", i), node)
-	}
-	coord, err := cluster.NewReplicated(0, cfg.replicas, members...)
+	coord, members, injectors, err := s.coordinator(true)
 	if err != nil {
 		return err
 	}
-	ref := locserv.NewSharded(cfg.shards)
+	if err := s.genFleet(coord); err != nil {
+		return err
+	}
+	killT, reviveT := 0.4*s.tEnd, 0.75*s.tEnd
+	victim := injectors[len(injectors)-1]
+	victimName := members[len(members)-1].Name
 
-	objs, err := sim.GenerateFleet(g, multiRegistry{regs: []locserv.Registry{coord, ref}}, sim.FleetSpec{
-		N:        cfg.n,
-		Seed:     cfg.seed,
-		RouteLen: 15000 * cfg.scale,
-		Workers:  cfg.workers,
-		IDFormat: "car-%03d",
-		Params:   tracegen.CityCarParams(),
-		Source:   core.SourceConfig{US: 100, UP: 5, Sightings: 4},
+	res, wall, err := s.run(coord, coord, func(t float64) {
+		if s.phase == 0 && t >= killT {
+			victim.Fail()
+			s.phase = 1
+		}
+		if s.phase == 1 && t >= reviveT {
+			victim.Recover()
+			coord.ProbeDown() // verified recovery + hint drain
+			s.phase = 2
+		}
+		s.probe(coord, t)
 	})
 	if err != nil {
 		return err
 	}
-	tEnd := 0.0
-	for i := range objs {
-		if last := objs[i].Truth.Samples[objs[i].Truth.Len()-1].T; last > tEnd {
-			tEnd = last
-		}
-	}
-	killT, reviveT := 0.4*tEnd, 0.75*tEnd
-	victim := injectors[cfg.nodes-1]
-	victimName := members[cfg.nodes-1].Name
-
-	// Per-phase probe-query accounting.
-	var queries, answered [3]int
-	var staleSum, staleMax [3]float64
-	var staleN [3]int
-	phase := 0
-	stride := len(objs)/16 + 1
-	count := func(err error) {
-		queries[phase]++
-		if err == nil {
-			answered[phase]++
-		}
-	}
-	fl := sim.Fleet{
-		Objects:   objs,
-		Workers:   cfg.workers,
-		Transport: teeTransport{main: coord, ref: wire.NewLoopback(ref.Sink(nil))},
-		Query:     coord,
-		Tick: func(t float64) {
-			if phase == 0 && t >= killT {
-				victim.Fail()
-				phase = 1
-			}
-			if phase == 1 && t >= reviveT {
-				victim.Recover()
-				coord.ProbeDown() // verified recovery + hint drain
-				phase = 2
-			}
-			for i := 0; i < len(objs); i += stride {
-				p, ok, err := coord.PositionE(objs[i].ID, t)
-				count(err)
-				if err != nil || !ok {
-					continue
-				}
-				if rp, rok := ref.Position(objs[i].ID, t); rok {
-					d := p.Dist(rp)
-					staleSum[phase] += d
-					staleN[phase]++
-					if d > staleMax[phase] {
-						staleMax[phase] = d
-					}
-				}
-			}
-			_, err := coord.NearestE(geo.Pt(5000, 5000), 10, t)
-			count(err)
-			_, err = coord.WithinE(geo.Rect{Min: geo.Pt(2000, 2000), Max: geo.Pt(8000, 8000)}, t)
-			count(err)
-		},
-	}
-	startT := time.Now()
-	res, err := fl.Run()
-	if err != nil {
-		return err
-	}
-	wall := time.Since(startT)
 	coord.ProbeDown()
 	coord.WaitRepairs()
 
-	var updates int64
-	for _, n := range res.Updates {
-		updates += n
-	}
 	fmt.Printf("# failover: %d nodes, R=%d, victim %s down over t=[%.0f,%.0f) of %.0f s\n",
-		cfg.nodes, cfg.replicas, victimName, killT, reviveT, tEnd)
-	tb := stats.NewTable("phase", "queries", "answered", "avail [%]", "mean stale [m]", "max stale [m]")
-	for ph, name := range failoverPhases {
-		avail, mean := 0.0, 0.0
-		if queries[ph] > 0 {
-			avail = 100 * float64(answered[ph]) / float64(queries[ph])
-		}
-		if staleN[ph] > 0 {
-			mean = staleSum[ph] / float64(staleN[ph])
-		}
-		tb.AddRow(name, queries[ph], answered[ph], avail, mean, staleMax[ph])
-	}
-	if err := emit(tb, csv); err != nil {
+		s.cfg.nodes, s.cfg.replicas, victimName, killT, reviveT, s.tEnd)
+	if err := s.emitPhases(csv); err != nil {
 		return err
 	}
-
-	st := stats.NewTable("vehicles", "samples", "updates", "mean err [m]", "wall [ms]",
-		"degraded queries", "read repairs")
-	st.AddRow(cfg.n, res.Samples, updates, res.MeanErr, wall.Milliseconds(),
-		coord.DegradedQueries(), coord.Repairs())
-	if err := emit(st, csv); err != nil {
+	if err := s.emitSummary(csv, res, wall, []string{"degraded queries", "read repairs"},
+		coord.DegradedQueries(), coord.Repairs()); err != nil {
 		return err
 	}
 
@@ -633,11 +429,6 @@ func runFailover(cfg fleetConfig, csv bool) error {
 	return emit(nt, csv)
 }
 
-// selfhealPhases labels the measurement windows of the selfheal
-// experiment: before the kill, the detection/hinting window, and after
-// the auto-demotion.
-var selfhealPhases = [3]string{"healthy", "down (detecting)", "demoted"}
-
 // runSelfheal is the no-operator failover run: one member is killed at
 // 40% of the trace and nobody calls MarkDown, ProbeDown or RemoveNode —
 // the self-healing membership has to notice (heartbeat detector), route
@@ -647,60 +438,24 @@ var selfhealPhases = [3]string{"healthy", "down (detecting)", "demoted"}
 // without error, and the surviving cluster's answers are bit-identical
 // to a no-failure reference store fed the same update stream.
 func runSelfheal(cfg fleetConfig, csv bool) error {
-	if cfg.scale <= 0 || cfg.scale > 1 {
-		return fmt.Errorf("scale must be in (0,1]")
-	}
-	if cfg.nodes < 3 {
-		return fmt.Errorf("selfheal needs at least three cluster nodes (the demotion must leave a replicated cluster)")
-	}
-	if cfg.replicas <= 0 {
-		cfg.replicas = 2
-	}
-	if cfg.replicas < 2 {
-		return fmt.Errorf("selfheal needs -replicas >= 2 (a lost R=1 partition cannot be demoted without data loss)")
-	}
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-	}
-	cor, err := mapgen.CityGrid(mapgen.DefaultCityConfig(cfg.seed))
+	s, err := newScenario(cfg, drillRules{name: "selfheal", minNodes: 3,
+		nodesErr: "selfheal needs at least three cluster nodes (the demotion must leave a replicated cluster)",
+		defaultR: 2, r2Err: "selfheal needs -replicas >= 2 (a lost R=1 partition cannot be demoted without data loss)"},
+		"healthy", "down (detecting)", "demoted")
 	if err != nil {
 		return err
 	}
-	g := cor.Graph
-	members := make([]*cluster.Member, cfg.nodes)
-	injectors := make([]*cluster.FaultInjector, cfg.nodes)
-	for i := range members {
-		node := locserv.NewNodeService(locserv.NewSharded(cfg.shards),
-			func(locserv.ObjectID) core.Predictor { return core.NewMapPredictor(g) })
-		members[i], injectors[i] = cluster.NewFaultyMember(fmt.Sprintf("node-%02d", i), node)
-	}
-	coord, err := cluster.NewReplicated(0, cfg.replicas, members...)
+	coord, members, injectors, err := s.coordinator(true)
 	if err != nil {
 		return err
 	}
-	ref := locserv.NewSharded(cfg.shards)
-
-	objs, err := sim.GenerateFleet(g, multiRegistry{regs: []locserv.Registry{coord, ref}}, sim.FleetSpec{
-		N:        cfg.n,
-		Seed:     cfg.seed,
-		RouteLen: 15000 * cfg.scale,
-		Workers:  cfg.workers,
-		IDFormat: "car-%03d",
-		Params:   tracegen.CityCarParams(),
-		Source:   core.SourceConfig{US: 100, UP: 5, Sightings: 4},
-	})
-	if err != nil {
+	if err := s.genFleet(coord); err != nil {
 		return err
 	}
-	tEnd := 0.0
-	for i := range objs {
-		if last := objs[i].Truth.Samples[objs[i].Truth.Len()-1].T; last > tEnd {
-			tEnd = last
-		}
-	}
+	tEnd := s.tEnd
 	killT := 0.4 * tEnd
-	victim := injectors[cfg.nodes-1]
-	victimName := members[cfg.nodes-1].Name
+	victim := injectors[len(injectors)-1]
+	victimName := members[len(members)-1].Name
 
 	// Sim-clock self-healing: heartbeats every simulated second, a
 	// single missed beat trips (the fleet ticks in lockstep, so the
@@ -718,143 +473,52 @@ func runSelfheal(cfg fleetConfig, csv bool) error {
 		ReweightAfter:  2,
 	})
 
-	var queries, answered [3]int
-	var staleSum, staleMax [3]float64
-	var staleN [3]int
-	phase := 0
 	demotedAt := -1.0
-	stride := len(objs)/16 + 1
-	count := func(err error) {
-		queries[phase]++
-		if err == nil {
-			answered[phase]++
+	res, wall, err := s.run(coord, coord, func(t float64) {
+		if s.phase == 0 && t >= killT {
+			victim.Fail() // the only intervention: the crash itself
+			s.phase = 1
 		}
-	}
-	fl := sim.Fleet{
-		Objects:   objs,
-		Workers:   cfg.workers,
-		Transport: teeTransport{main: coord, ref: wire.NewLoopback(ref.Sink(nil))},
-		Query:     coord,
-		Tick: func(t float64) {
-			if phase == 0 && t >= killT {
-				victim.Fail() // the only intervention: the crash itself
-				phase = 1
-			}
-			coord.Tick(t) // the self-healing loops run on the sim clock
-			if phase == 1 && coord.SelfHealStats().Demotions > 0 {
-				phase = 2
-				demotedAt = t
-			}
-			for i := 0; i < len(objs); i += stride {
-				p, ok, err := coord.PositionE(objs[i].ID, t)
-				count(err)
-				if err != nil || !ok {
-					continue
-				}
-				if rp, rok := ref.Position(objs[i].ID, t); rok {
-					d := p.Dist(rp)
-					staleSum[phase] += d
-					staleN[phase]++
-					if d > staleMax[phase] {
-						staleMax[phase] = d
-					}
-				}
-			}
-			_, err := coord.NearestE(geo.Pt(5000, 5000), 10, t)
-			count(err)
-			_, err = coord.WithinE(geo.Rect{Min: geo.Pt(2000, 2000), Max: geo.Pt(8000, 8000)}, t)
-			count(err)
-		},
-	}
-	startT := time.Now()
-	res, err := fl.Run()
+		coord.Tick(t) // the self-healing loops run on the sim clock
+		if s.phase == 1 && coord.SelfHealStats().Demotions > 0 {
+			s.phase = 2
+			demotedAt = t
+		}
+		s.probe(coord, t)
+	})
 	if err != nil {
 		return err
 	}
-	wall := time.Since(startT)
 	coord.ProbeDown() // final hint sweep (a drain, not a recovery — the victim is gone)
 	coord.WaitRepairs()
 
 	// The acceptance assertions: demoted, zero query errors, converged.
 	heal := coord.SelfHealStats()
-	demoted := false
-	for _, name := range heal.Demoted {
-		if name == victimName {
-			demoted = true
-		}
-	}
-	if !demoted || len(coord.Nodes()) != cfg.nodes-1 {
+	if !slices.Contains(heal.Demoted, victimName) || len(coord.Nodes()) != s.cfg.nodes-1 {
 		return fmt.Errorf("selfheal: victim %s was not auto-demoted (members %v, demoted %v)",
 			victimName, coord.Nodes(), heal.Demoted)
 	}
 	if qe := coord.QueryErrors(); qe != 0 {
 		return fmt.Errorf("selfheal: %d query errors; the detector let queries hit the dead member", qe)
 	}
-	mismatches := 0
-	for i := range objs {
-		p, ok := coord.Position(objs[i].ID, tEnd)
-		rp, rok := ref.Position(objs[i].ID, tEnd)
-		if ok != rok || p != rp {
-			mismatches++
-		}
-	}
-	if mismatches > 0 {
-		return fmt.Errorf("selfheal: %d of %d positions diverged from the no-failure reference", mismatches, len(objs))
-	}
-	nearGot, _ := coord.NearestE(geo.Pt(5000, 5000), 10, tEnd)
-	nearWant := ref.Nearest(geo.Pt(5000, 5000), 10, tEnd)
-	if !reflect.DeepEqual(nearGot, nearWant) {
-		return fmt.Errorf("selfheal: Nearest diverged from the no-failure reference after drain")
-	}
-	withinRect := geo.Rect{Min: geo.Pt(2000, 2000), Max: geo.Pt(8000, 8000)}
-	withinGot, _ := coord.WithinE(withinRect, tEnd)
-	withinWant := ref.Within(withinRect, tEnd)
-	if !reflect.DeepEqual(withinGot, withinWant) {
-		return fmt.Errorf("selfheal: Within diverged from the no-failure reference after drain")
+	if err := s.converged(coord, "drain"); err != nil {
+		return err
 	}
 
-	var updates int64
-	for _, n := range res.Updates {
-		updates += n
-	}
 	fmt.Printf("# selfheal: %d nodes, R=%d, victim %s killed at t=%.0f s, auto-demoted at t=%.0f s (deadline %.0f s), %.0f s trace\n",
-		cfg.nodes, cfg.replicas, victimName, killT, demotedAt, demoteAfter, tEnd)
+		s.cfg.nodes, s.cfg.replicas, victimName, killT, demotedAt, demoteAfter, tEnd)
 	fmt.Printf("# converged bit-identical to the no-failure reference; zero query errors\n")
-	tb := stats.NewTable("phase", "queries", "answered", "avail [%]", "mean stale [m]", "max stale [m]")
-	for ph, name := range selfhealPhases {
-		avail, mean := 0.0, 0.0
-		if queries[ph] > 0 {
-			avail = 100 * float64(answered[ph]) / float64(queries[ph])
-		}
-		if staleN[ph] > 0 {
-			mean = staleSum[ph] / float64(staleN[ph])
-		}
-		tb.AddRow(name, queries[ph], answered[ph], avail, mean, staleMax[ph])
-	}
-	if err := emit(tb, csv); err != nil {
+	if err := s.emitPhases(csv); err != nil {
 		return err
 	}
-
-	st := stats.NewTable("vehicles", "samples", "updates", "mean err [m]", "wall [ms]",
-		"heartbeats", "trips", "demotions", "reweights", "degraded queries", "read repairs")
-	st.AddRow(cfg.n, res.Samples, updates, res.MeanErr, wall.Milliseconds(),
+	if err := s.emitSummary(csv, res, wall,
+		[]string{"heartbeats", "trips", "demotions", "reweights", "degraded queries", "read repairs"},
 		heal.Heartbeats, heal.Trips, heal.Demotions, heal.Reweights,
-		coord.DegradedQueries(), coord.Repairs())
-	if err := emit(st, csv); err != nil {
+		coord.DegradedQueries(), coord.Repairs()); err != nil {
 		return err
 	}
-
-	nt := stats.NewTable("node", "objects", "routed records", "errors", "health",
-		"hinted", "drained", "requeued", "hints pending")
-	for _, ms := range coord.MemberStats() {
-		nt.AddRow(ms.Name, ms.Node.Objects, ms.Records, ms.Errors, ms.Health.String(),
-			ms.Hints.Hinted, ms.Hints.Drained, ms.Hints.Requeued, ms.Hints.Buffered)
-	}
-	return emit(nt, csv)
+	return emitHealthNodes(coord, csv)
 }
-
-// fanInPhases labels the measurement windows of the fan-in experiment.
-var fanInPhases = [3]string{"steady two-front", "driver down (orphaned join)", "stolen + resumed"}
 
 // twoFront is the ingest/query surface of the fan-in drill: update
 // batches and queries alternate across two coordinators while both are
@@ -923,75 +587,34 @@ func (f *twoFront) Within(r geo.Rect, t float64) []locserv.ObjectPos {
 // errors on both fronts, identical membership logs, and a post-quiesce
 // store bit-identical to a no-failure reference.
 func runFanin(cfg fleetConfig, csv bool) error {
-	if cfg.scale <= 0 || cfg.scale > 1 {
-		return fmt.Errorf("scale must be in (0,1]")
-	}
-	if cfg.nodes < 2 {
-		return fmt.Errorf("fanin needs at least two cluster nodes")
-	}
-	if cfg.replicas <= 0 {
-		cfg.replicas = 2
-	}
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-	}
-	cor, err := mapgen.CityGrid(mapgen.DefaultCityConfig(cfg.seed))
+	s, err := newScenario(cfg, drillRules{name: "fanin", minNodes: 2,
+		nodesErr: "fanin needs at least two cluster nodes", defaultR: 2},
+		"steady two-front", "driver down (orphaned join)", "stolen + resumed")
 	if err != nil {
 		return err
 	}
-	g := cor.Graph
 
 	// The two fronts share the node processes but hold separate Member
 	// handles, like two coordinator processes fronting one cluster.
-	nodes := make([]*locserv.NodeService, cfg.nodes)
-	for i := range nodes {
-		nodes[i] = locserv.NewNodeService(locserv.NewSharded(cfg.shards),
-			func(locserv.ObjectID) core.Predictor { return core.NewMapPredictor(g) })
-	}
-	joinName := fmt.Sprintf("node-%02d", cfg.nodes)
-	joinNode := locserv.NewNodeService(locserv.NewSharded(cfg.shards),
-		func(locserv.ObjectID) core.Predictor { return core.NewMapPredictor(g) })
+	joinName, joinNode := s.joiner()
 	factory := func(name, addr string) (*cluster.Member, error) {
 		if name != joinName {
 			return nil, fmt.Errorf("fanin: no local handle for joining member %q", name)
 		}
 		return cluster.NewLocalMember(name, joinNode), nil
 	}
-	mk := func() (*cluster.Coordinator, error) {
-		members := make([]*cluster.Member, len(nodes))
-		for i, node := range nodes {
-			members[i] = cluster.NewLocalMember(fmt.Sprintf("node-%02d", i), node)
-		}
-		return cluster.NewReplicated(0, cfg.replicas, members...)
-	}
-	ca, err := mk()
+	ca, _, _, err := s.coordinator(false)
 	if err != nil {
 		return err
 	}
-	cb, err := mk()
+	cb, _, _, err := s.coordinator(false)
 	if err != nil {
 		return err
 	}
-	ref := locserv.NewSharded(cfg.shards)
-
-	objs, err := sim.GenerateFleet(g, multiRegistry{regs: []locserv.Registry{ca, ref}}, sim.FleetSpec{
-		N:        cfg.n,
-		Seed:     cfg.seed,
-		RouteLen: 15000 * cfg.scale,
-		Workers:  cfg.workers,
-		IDFormat: "car-%03d",
-		Params:   tracegen.CityCarParams(),
-		Source:   core.SourceConfig{US: 100, UP: 5, Sightings: 4},
-	})
-	if err != nil {
+	if err := s.genFleet(ca); err != nil {
 		return err
 	}
-	tEnd := 0.0
-	for i := range objs {
-		if last := objs[i].Truth.Samples[objs[i].Truth.Len()-1].T; last > tEnd {
-			tEnd = last
-		}
-	}
+	tEnd := s.tEnd
 	migT := 0.35 * tEnd
 	leaseFor := 0.08 * tEnd
 
@@ -1021,82 +644,44 @@ func runFanin(cfg fleetConfig, csv bool) error {
 
 	tf := &twoFront{a: ca, b: cb}
 	tf.aLive.Store(true)
-	var queries, answered [3]int
-	var staleSum, staleMax [3]float64
-	var staleN [3]int
-	phase := 0
 	killedAt, stolenAt := -1.0, -1.0
 	var migErr error
 	probe := 0
-	stride := len(objs)/16 + 1
-	count := func(err error) {
-		queries[phase]++
-		if err == nil {
-			answered[phase]++
+	res, wall, err := s.run(tf, tf, func(t float64) {
+		if s.phase == 0 && t >= migT && migErr == nil {
+			// The scripted crash: co-a begins the join, its driver is
+			// killed at the second range copy, and from this tick on
+			// co-a is dead — no ticks, no sends, no queries, no abort.
+			ca.CrashMigrationAfterCopies(2)
+			mig, err := ca.BeginAddNode(cluster.NewLocalMember(joinName, joinNode))
+			if err != nil {
+				migErr = fmt.Errorf("fanin: begin join on co-a: %w", err)
+			} else if werr := mig.Wait(); werr == nil {
+				migErr = fmt.Errorf("fanin: the injected driver crash never fired")
+			}
+			tf.aLive.Store(false)
+			killedAt = t
+			s.phase = 1
 		}
-	}
-	fl := sim.Fleet{
-		Objects:   objs,
-		Workers:   cfg.workers,
-		Transport: teeTransport{main: tf, ref: wire.NewLoopback(ref.Sink(nil))},
-		Query:     tf,
-		Tick: func(t float64) {
-			if phase == 0 && t >= migT && migErr == nil {
-				// The scripted crash: co-a begins the join, its driver is
-				// killed at the second range copy, and from this tick on
-				// co-a is dead — no ticks, no sends, no queries, no abort.
-				ca.CrashMigrationAfterCopies(2)
-				mig, err := ca.BeginAddNode(cluster.NewLocalMember(joinName, joinNode))
-				if err != nil {
-					migErr = fmt.Errorf("fanin: begin join on co-a: %w", err)
-				} else if werr := mig.Wait(); werr == nil {
-					migErr = fmt.Errorf("fanin: the injected driver crash never fired")
-				}
-				tf.aLive.Store(false)
-				killedAt = t
-				phase = 1
+		if tf.aLive.Load() {
+			ca.Tick(t)
+		}
+		cb.Tick(t)
+		if s.phase == 1 && cb.FanInStats().Resumes > 0 {
+			stolenAt = t
+			s.phase = 2
+		}
+		co := cb
+		if tf.aLive.Load() {
+			if probe++; probe%2 == 0 {
+				co = ca
 			}
-			if tf.aLive.Load() {
-				ca.Tick(t)
-			}
-			cb.Tick(t)
-			if phase == 1 && cb.FanInStats().Resumes > 0 {
-				stolenAt = t
-				phase = 2
-			}
-			co := cb
-			if tf.aLive.Load() {
-				if probe++; probe%2 == 0 {
-					co = ca
-				}
-			}
-			for i := 0; i < len(objs); i += stride {
-				p, ok, err := co.PositionE(objs[i].ID, t)
-				count(err)
-				if err != nil || !ok {
-					continue
-				}
-				if rp, rok := ref.Position(objs[i].ID, t); rok {
-					d := p.Dist(rp)
-					staleSum[phase] += d
-					staleN[phase]++
-					if d > staleMax[phase] {
-						staleMax[phase] = d
-					}
-				}
-			}
-			_, err := co.NearestE(geo.Pt(5000, 5000), 10, t)
-			count(err)
-			_, err = co.WithinE(geo.Rect{Min: geo.Pt(2000, 2000), Max: geo.Pt(8000, 8000)}, t)
-			count(err)
-		},
-	}
-	startT := time.Now()
-	res, err := fl.Run()
+		}
+		s.probe(co, t)
+	})
 	if err != nil {
 		return err
 	}
-	wall := time.Since(startT)
 	// The stolen run re-copies and commits in a background goroutine
 	// (Tick never blocks on a copy), so give the drive a bounded window
 	// to land — ticking the sim clock forward so lease renewals and the
@@ -1133,8 +718,8 @@ func runFanin(cfg fleetConfig, csv bool) error {
 	if ms.Active || ms.Migrations != 1 {
 		return fmt.Errorf("fanin: resumed join not committed on co-b (active %v, committed %d)", ms.Active, ms.Migrations)
 	}
-	if got := len(cb.Nodes()); got != cfg.nodes+1 {
-		return fmt.Errorf("fanin: co-b serves %d members after the resumed join, want %d", got, cfg.nodes+1)
+	if got := len(cb.Nodes()); got != s.cfg.nodes+1 {
+		return fmt.Errorf("fanin: co-b serves %d members after the resumed join, want %d", got, s.cfg.nodes+1)
 	}
 	if qe := ca.QueryErrors() + cb.QueryErrors(); qe != 0 {
 		return fmt.Errorf("fanin: %d query errors across the two fronts, want zero", qe)
@@ -1142,37 +727,18 @@ func runFanin(cfg fleetConfig, csv bool) error {
 	if !wire.EqualLogs(ca.MembershipLog(), cb.MembershipLog()) {
 		return fmt.Errorf("fanin: the membership logs diverged between the fronts")
 	}
-	mismatches := 0
-	for i := range objs {
-		p, ok := cb.Position(objs[i].ID, tEnd)
-		rp, rok := ref.Position(objs[i].ID, tEnd)
-		if ok != rok || p != rp {
-			mismatches++
-		}
-	}
-	if mismatches > 0 {
-		return fmt.Errorf("fanin: %d of %d positions diverged from the no-failure reference", mismatches, len(objs))
-	}
-	nearGot, _ := cb.NearestE(geo.Pt(5000, 5000), 10, tEnd)
-	nearWant := ref.Nearest(geo.Pt(5000, 5000), 10, tEnd)
-	if !reflect.DeepEqual(nearGot, nearWant) {
-		return fmt.Errorf("fanin: Nearest diverged from the no-failure reference after drain")
-	}
-	withinRect := geo.Rect{Min: geo.Pt(2000, 2000), Max: geo.Pt(8000, 8000)}
-	withinGot, _ := cb.WithinE(withinRect, tEnd)
-	withinWant := ref.Within(withinRect, tEnd)
-	if !reflect.DeepEqual(withinGot, withinWant) {
-		return fmt.Errorf("fanin: Within diverged from the no-failure reference after drain")
+	if err := s.converged(cb, "drain"); err != nil {
+		return err
 	}
 	onJoin := 0
-	for i := range objs {
-		for _, name := range cb.Owners(objs[i].ID) {
+	for i := range s.objs {
+		for _, name := range cb.Owners(s.objs[i].ID) {
 			if name != joinName {
 				continue
 			}
 			onJoin++
-			if !joinNode.Service().Contains(objs[i].ID) {
-				return fmt.Errorf("fanin: %s routed to %s but the joined node does not hold it", objs[i].ID, joinName)
+			if !joinNode.Service().Contains(s.objs[i].ID) {
+				return fmt.Errorf("fanin: %s routed to %s but the joined node does not hold it", s.objs[i].ID, joinName)
 			}
 		}
 	}
@@ -1180,26 +746,11 @@ func runFanin(cfg fleetConfig, csv bool) error {
 		return fmt.Errorf("fanin: the resumed join moved no fleet objects onto %s", joinName)
 	}
 
-	var updates int64
-	for _, n := range res.Updates {
-		updates += n
-	}
 	fmt.Printf("# fanin: %d nodes, R=%d, fronts co-a+co-b; join %s begun on co-a at t=%.0f s and its driver killed mid-copy; co-b stole the lease (%.0f s tenure) and resumed at t=%.0f s, %.0f s trace\n",
-		cfg.nodes, cfg.replicas, joinName, killedAt, leaseFor, stolenAt, tEnd)
+		s.cfg.nodes, s.cfg.replicas, joinName, killedAt, leaseFor, stolenAt, tEnd)
 	fmt.Printf("# %d objects now route to %s; converged bit-identical to the no-failure reference; zero query errors on both fronts\n",
 		onJoin, joinName)
-	tb := stats.NewTable("phase", "queries", "answered", "avail [%]", "mean stale [m]", "max stale [m]")
-	for ph, name := range fanInPhases {
-		avail, mean := 0.0, 0.0
-		if queries[ph] > 0 {
-			avail = 100 * float64(answered[ph]) / float64(queries[ph])
-		}
-		if staleN[ph] > 0 {
-			mean = staleSum[ph] / float64(staleN[ph])
-		}
-		tb.AddRow(name, queries[ph], answered[ph], avail, mean, staleMax[ph])
-	}
-	if err := emit(tb, csv); err != nil {
+	if err := s.emitPhases(csv); err != nil {
 		return err
 	}
 
@@ -1214,25 +765,13 @@ func runFanin(cfg fleetConfig, csv bool) error {
 		return err
 	}
 
-	st := stats.NewTable("vehicles", "samples", "updates", "mean err [m]", "wall [ms]",
-		"migrations", "resumes", "records moved", "degraded queries", "read repairs")
-	st.AddRow(cfg.n, res.Samples, updates, res.MeanErr, wall.Milliseconds(),
-		ms.Migrations, ms.Resumes, ms.TotalRecordsMoved, cb.DegradedQueries(), cb.Repairs())
-	if err := emit(st, csv); err != nil {
+	if err := s.emitSummary(csv, res, wall,
+		[]string{"migrations", "resumes", "records moved", "degraded queries", "read repairs"},
+		ms.Migrations, ms.Resumes, ms.TotalRecordsMoved, cb.DegradedQueries(), cb.Repairs()); err != nil {
 		return err
 	}
-
-	nt := stats.NewTable("node", "objects", "routed records", "errors", "health",
-		"hinted", "drained", "requeued", "hints pending")
-	for _, msr := range cb.MemberStats() {
-		nt.AddRow(msr.Name, msr.Node.Objects, msr.Records, msr.Errors, msr.Health.String(),
-			msr.Hints.Hinted, msr.Hints.Drained, msr.Hints.Requeued, msr.Hints.Buffered)
-	}
-	return emit(nt, csv)
+	return emitHealthNodes(cb, csv)
 }
-
-// chaosPhases labels the measurement windows of the chaos experiment.
-var chaosPhases = [4]string{"steady", "join + loss burst", "churn (leave, kill, spike)", "reweighted tail"}
 
 // runChaos is the everything-at-once elasticity drill: under full
 // ingest and query load a scripted ChaosPlan joins a new member, fires
@@ -1246,57 +785,21 @@ var chaosPhases = [4]string{"steady", "join + loss burst", "churn (leave, kill, 
 // post-quiesce store bit-identical to a no-failure reference fed the
 // same update stream.
 func runChaos(cfg fleetConfig, csv bool) error {
-	if cfg.scale <= 0 || cfg.scale > 1 {
-		return fmt.Errorf("scale must be in (0,1]")
-	}
-	if cfg.nodes < 4 {
-		return fmt.Errorf("chaos needs at least four cluster nodes (it removes two mid-run)")
-	}
-	if cfg.replicas <= 0 {
-		cfg.replicas = 2
-	}
-	if cfg.replicas < 2 {
-		return fmt.Errorf("chaos needs -replicas >= 2 (a lost R=1 partition cannot survive the kill)")
-	}
-	if cfg.workers <= 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
-	}
-	cor, err := mapgen.CityGrid(mapgen.DefaultCityConfig(cfg.seed))
+	s, err := newScenario(cfg, drillRules{name: "chaos", minNodes: 4,
+		nodesErr: "chaos needs at least four cluster nodes (it removes two mid-run)",
+		defaultR: 2, r2Err: "chaos needs -replicas >= 2 (a lost R=1 partition cannot survive the kill)"},
+		"steady", "join + loss burst", "churn (leave, kill, spike)", "reweighted tail")
 	if err != nil {
 		return err
 	}
-	g := cor.Graph
-	members := make([]*cluster.Member, cfg.nodes)
-	injectors := make([]*cluster.FaultInjector, cfg.nodes)
-	for i := range members {
-		node := locserv.NewNodeService(locserv.NewSharded(cfg.shards),
-			func(locserv.ObjectID) core.Predictor { return core.NewMapPredictor(g) })
-		members[i], injectors[i] = cluster.NewFaultyMember(fmt.Sprintf("node-%02d", i), node)
-	}
-	coord, err := cluster.NewReplicated(0, cfg.replicas, members...)
+	coord, members, injectors, err := s.coordinator(true)
 	if err != nil {
 		return err
 	}
-	ref := locserv.NewSharded(cfg.shards)
-
-	objs, err := sim.GenerateFleet(g, multiRegistry{regs: []locserv.Registry{coord, ref}}, sim.FleetSpec{
-		N:        cfg.n,
-		Seed:     cfg.seed,
-		RouteLen: 15000 * cfg.scale,
-		Workers:  cfg.workers,
-		IDFormat: "car-%03d",
-		Params:   tracegen.CityCarParams(),
-		Source:   core.SourceConfig{US: 100, UP: 5, Sightings: 4},
-	})
-	if err != nil {
+	if err := s.genFleet(coord); err != nil {
 		return err
 	}
-	tEnd := 0.0
-	for i := range objs {
-		if last := objs[i].Truth.Samples[objs[i].Truth.Len()-1].T; last > tEnd {
-			tEnd = last
-		}
-	}
+	tEnd := s.tEnd
 
 	// Same sim-clock self-healing as the selfheal run; the deadline
 	// outlasts the loss burst (a breaker flap must not demote the lossy
@@ -1310,11 +813,8 @@ func runChaos(cfg fleetConfig, csv bool) error {
 	})
 
 	// The member that joins mid-run.
-	joinName := fmt.Sprintf("node-%02d", cfg.nodes)
-	joinNode := locserv.NewNodeService(locserv.NewSharded(cfg.shards),
-		func(locserv.ObjectID) core.Predictor { return core.NewMapPredictor(g) })
-	joinMember, joinInj := cluster.NewFaultyMember(joinName, joinNode)
-	_ = joinInj
+	joinName, joinNode := s.joiner()
+	joinMember, _ := cluster.NewFaultyMember(joinName, joinNode)
 
 	// Membership actions begun by chaos events. The engine accepts one
 	// run at a time, so each action retries on ErrMigrationBusy every
@@ -1356,7 +856,7 @@ func runChaos(cfg fleetConfig, csv bool) error {
 			})
 		}},
 		cluster.ChaosEvent{At: 0.30 * tEnd, Name: "loss burst " + members[2].Name, Do: func() {
-			injectors[2].SetLossRate(0.5, cfg.seed)
+			injectors[2].SetLossRate(0.5, s.cfg.seed)
 		}},
 		cluster.ChaosEvent{At: 0.38 * tEnd, Name: "loss burst ends", Do: func() {
 			injectors[2].SetLossRate(0, 0)
@@ -1382,65 +882,24 @@ func runChaos(cfg fleetConfig, csv bool) error {
 		}},
 	)
 
-	var queries, answered [4]int
-	var staleSum, staleMax [4]float64
-	var staleN [4]int
-	phase := 0
-	stride := len(objs)/16 + 1
-	count := func(err error) {
-		queries[phase]++
-		if err == nil {
-			answered[phase]++
-		}
-	}
 	var maxSendNs atomic.Int64
-	fl := sim.Fleet{
-		Objects: objs,
-		Workers: cfg.workers,
-		Transport: teeTransport{
-			main: timedTransport{tr: coord, maxNs: &maxSendNs},
-			ref:  wire.NewLoopback(ref.Sink(nil)),
-		},
-		Query: coord,
-		Tick: func(t float64) {
-			plan.Advance(t) // faults first, so the same tick's detector sees them
-			pump()
-			coord.Tick(t)
-			switch {
-			case t >= 0.82*tEnd:
-				phase = 3
-			case t >= 0.45*tEnd:
-				phase = 2
-			case t >= 0.15*tEnd:
-				phase = 1
-			}
-			for i := 0; i < len(objs); i += stride {
-				p, ok, err := coord.PositionE(objs[i].ID, t)
-				count(err)
-				if err != nil || !ok {
-					continue
-				}
-				if rp, rok := ref.Position(objs[i].ID, t); rok {
-					d := p.Dist(rp)
-					staleSum[phase] += d
-					staleN[phase]++
-					if d > staleMax[phase] {
-						staleMax[phase] = d
-					}
-				}
-			}
-			_, err := coord.NearestE(geo.Pt(5000, 5000), 10, t)
-			count(err)
-			_, err = coord.WithinE(geo.Rect{Min: geo.Pt(2000, 2000), Max: geo.Pt(8000, 8000)}, t)
-			count(err)
-		},
-	}
-	startT := time.Now()
-	res, err := fl.Run()
+	res, wall, err := s.run(timedTransport{tr: coord, maxNs: &maxSendNs}, coord, func(t float64) {
+		plan.Advance(t) // faults first, so the same tick's detector sees them
+		pump()
+		coord.Tick(t)
+		switch {
+		case t >= 0.82*tEnd:
+			s.phase = 3
+		case t >= 0.45*tEnd:
+			s.phase = 2
+		case t >= 0.15*tEnd:
+			s.phase = 1
+		}
+		s.probe(coord, t)
+	})
 	if err != nil {
 		return err
 	}
-	wall := time.Since(startT)
 
 	// Quiesce: stop all injection (the demoted victim stays demoted —
 	// this only silences the faults), let late-begun migrations finish,
@@ -1480,19 +939,13 @@ func runChaos(cfg fleetConfig, csv bool) error {
 		return fmt.Errorf("chaos: %d query errors under churn, want zero", qe)
 	}
 	heal := coord.SelfHealStats()
-	demoted := false
-	for _, name := range heal.Demoted {
-		if name == members[1].Name {
-			demoted = true
-		}
-	}
-	if !demoted {
+	if !slices.Contains(heal.Demoted, members[1].Name) {
 		return fmt.Errorf("chaos: killed member %s was not auto-demoted (demoted %v)", members[1].Name, heal.Demoted)
 	}
 	names := coord.Nodes()
-	if len(names) != cfg.nodes-1 {
+	if len(names) != s.cfg.nodes-1 {
 		return fmt.Errorf("chaos: membership %v, want %d members after join %s, leave %s, demote %s",
-			names, cfg.nodes-1, joinName, members[0].Name, members[1].Name)
+			names, s.cfg.nodes-1, joinName, members[0].Name, members[1].Name)
 	}
 	for _, name := range names {
 		if name == members[0].Name || name == members[1].Name {
@@ -1511,74 +964,30 @@ func runChaos(cfg fleetConfig, csv bool) error {
 	if maxSend := time.Duration(maxSendNs.Load()); maxSend > 2*time.Second {
 		return fmt.Errorf("chaos: slowest Send stalled %v; membership changes must not block ingest", maxSend)
 	}
-	for ph, name := range chaosPhases {
-		if staleMax[ph] > 100 {
-			return fmt.Errorf("chaos: phase %q max staleness %.1f m exceeds the u_s=100 m bound", name, staleMax[ph])
+	for _, ps := range s.phases {
+		if ps.staleMax > 100 {
+			return fmt.Errorf("chaos: phase %q max staleness %.1f m exceeds the u_s=100 m bound", ps.name, ps.staleMax)
 		}
 	}
-	mismatches := 0
-	for i := range objs {
-		p, ok := coord.Position(objs[i].ID, tEnd)
-		rp, rok := ref.Position(objs[i].ID, tEnd)
-		if ok != rok || p != rp {
-			mismatches++
-		}
-	}
-	if mismatches > 0 {
-		return fmt.Errorf("chaos: %d of %d positions diverged from the no-failure reference", mismatches, len(objs))
-	}
-	nearGot, _ := coord.NearestE(geo.Pt(5000, 5000), 10, tEnd)
-	nearWant := ref.Nearest(geo.Pt(5000, 5000), 10, tEnd)
-	if !reflect.DeepEqual(nearGot, nearWant) {
-		return fmt.Errorf("chaos: Nearest diverged from the no-failure reference after quiesce")
-	}
-	withinRect := geo.Rect{Min: geo.Pt(2000, 2000), Max: geo.Pt(8000, 8000)}
-	withinGot, _ := coord.WithinE(withinRect, tEnd)
-	withinWant := ref.Within(withinRect, tEnd)
-	if !reflect.DeepEqual(withinGot, withinWant) {
-		return fmt.Errorf("chaos: Within diverged from the no-failure reference after quiesce")
+	if err := s.converged(coord, "quiesce"); err != nil {
+		return err
 	}
 
-	var updates int64
-	for _, n := range res.Updates {
-		updates += n
-	}
-	fmt.Printf("# chaos: %d nodes -> %v, R=%d over %.0f s trace\n", cfg.nodes, names, cfg.replicas, tEnd)
+	fmt.Printf("# chaos: %d nodes -> %v, R=%d over %.0f s trace\n", s.cfg.nodes, names, s.cfg.replicas, tEnd)
 	fmt.Printf("# events: %s\n", strings.Join(plan.Fired(), "; "))
 	fmt.Printf("# zero query errors; converged bit-identical to the no-failure reference\n")
 	fmt.Printf("# max routing-lock hold %.3f ms; slowest Send %.3f ms\n",
 		float64(mig.MaxSwapNanos)/1e6, float64(maxSendNs.Load())/1e6)
-	tb := stats.NewTable("phase", "queries", "answered", "avail [%]", "mean stale [m]", "max stale [m]")
-	for ph, name := range chaosPhases {
-		avail, mean := 0.0, 0.0
-		if queries[ph] > 0 {
-			avail = 100 * float64(answered[ph]) / float64(queries[ph])
-		}
-		if staleN[ph] > 0 {
-			mean = staleSum[ph] / float64(staleN[ph])
-		}
-		tb.AddRow(name, queries[ph], answered[ph], avail, mean, staleMax[ph])
-	}
-	if err := emit(tb, csv); err != nil {
+	if err := s.emitPhases(csv); err != nil {
 		return err
 	}
-
-	st := stats.NewTable("vehicles", "samples", "updates", "mean err [m]", "wall [ms]",
-		"migrations", "records moved", "demotions", "degraded queries", "read repairs")
-	st.AddRow(cfg.n, res.Samples, updates, res.MeanErr, wall.Milliseconds(),
+	if err := s.emitSummary(csv, res, wall,
+		[]string{"migrations", "records moved", "demotions", "degraded queries", "read repairs"},
 		mig.Migrations, mig.TotalRecordsMoved, heal.Demotions,
-		coord.DegradedQueries(), coord.Repairs())
-	if err := emit(st, csv); err != nil {
+		coord.DegradedQueries(), coord.Repairs()); err != nil {
 		return err
 	}
-
-	nt := stats.NewTable("node", "objects", "routed records", "errors", "health",
-		"hinted", "drained", "requeued", "hints pending")
-	for _, ms := range coord.MemberStats() {
-		nt.AddRow(ms.Name, ms.Node.Objects, ms.Records, ms.Errors, ms.Health.String(),
-			ms.Hints.Hinted, ms.Hints.Drained, ms.Hints.Requeued, ms.Hints.Buffered)
-	}
-	return emit(nt, csv)
+	return emitHealthNodes(coord, csv)
 }
 
 func run(exp string, opts experiments.Options, csv bool, svgPath string) error {
