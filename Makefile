@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet staticcheck build test race bench bench-all bench-locserv clean
+.PHONY: check vet staticcheck build test race bench bench-smoke bench-all bench-locserv clean
 
 # BENCH_JSON is where `make bench` writes the machine-readable gate
 # numbers; bump the index with the PR that changes the tracked set.
@@ -70,6 +70,12 @@ bench:
 	$(GO) run ./cmd/benchjson < $(BENCH_JSON).raw > $(BENCH_JSON)
 	rm -f $(BENCH_JSON).raw
 	$(GO) run ./cmd/benchjson -compare $(BENCH_JSON) -baseline $(BENCH_BASELINE) -maxregress $(BENCH_MAXREGRESS)
+
+# Gate benchmarks at a short fixed benchtime: catches perf cliffs and
+# asserts every gated pipeline still moves, without the numbers or the
+# baseline comparison of `make bench`. CI runs this.
+bench-smoke:
+	$(GO) test -run '^$$' -bench '$(BENCH_GATE)' -benchtime 10x -benchmem $(BENCH_PKGS)
 
 # Full benchmark sweep (paper artifacts + micro benchmarks).
 bench-all:

@@ -1,8 +1,9 @@
 package mapdr
 
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (see DESIGN.md §4 and EXPERIMENTS.md). Each benchmark runs
-// the corresponding experiment end to end and reports the paper's metric
+// evaluation (internal/experiments; README.md "Reproduce the paper" has
+// the matching cmd/drsim commands). Each benchmark runs the
+// corresponding experiment end to end and reports the paper's metric
 // (updates per hour per protocol) via b.ReportMetric, so
 //
 //	go test -bench=. -benchmem

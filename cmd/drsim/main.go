@@ -1,5 +1,5 @@
 // Command drsim regenerates the paper's tables and figures from the
-// simulation (README.md "Reproduce the paper" lists the experiments).
+// simulation and runs the fleet, churn and cluster experiments below.
 //
 // Usage:
 //

@@ -1,6 +1,6 @@
 // Package experiments defines the paper's evaluation scenarios and the
-// runners that regenerate each table and figure (see DESIGN.md §4 for the
-// experiment index).
+// runners that regenerate each table and figure; cmd/drsim runs them by
+// experiment id (README.md "Reproduce the paper").
 package experiments
 
 import (

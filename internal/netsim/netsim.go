@@ -88,27 +88,6 @@ func (l *Link) Send(now float64, size int, payload any) bool {
 	return true
 }
 
-// Offer draws the link's loss model for a synchronous message of the
-// given size at time now without enqueueing anything: it returns false
-// when the message would be dropped (loss or disconnection). Used by
-// request/response exchanges (the wire query protocol), where the
-// caller blocks for the answer instead of polling Deliverable.
-func (l *Link) Offer(now float64, size int) bool {
-	l.sent++
-	l.bytes += int64(size)
-	for _, w := range l.Disconnections {
-		if w.Contains(now) {
-			l.dropped++
-			return false
-		}
-	}
-	if l.LossProb > 0 && l.rng.Float64() < l.LossProb {
-		l.dropped++
-		return false
-	}
-	return true
-}
-
 // Deliverable pops all messages whose delivery time is <= now, in delivery
 // order.
 func (l *Link) Deliverable(now float64) []Message {

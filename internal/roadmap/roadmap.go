@@ -199,7 +199,7 @@ func (d Dir) IsValid() bool { return d.Link != NoLink }
 type Graph struct {
 	nodes []Node
 	links []Link
-	index spatial.Index
+	index *spatial.Grid
 	turns *TurnTable
 }
 

@@ -1,6 +1,7 @@
-// Package spatial provides spatial indexes over line segments: a uniform
-// grid, an STR bulk-loaded R-tree and a quadtree, all behind a common
-// Index interface.
+// Package spatial provides spatial indexes: a uniform grid over line
+// segments, the road map's index, with a linear scan behind the same
+// Index interface as the tests' reference; and LiveGrid, the location
+// service's index over moving objects.
 //
 // The map-based dead-reckoning protocol queries such an index to find
 // candidate road links for map matching ("on initialization, potential
@@ -23,13 +24,6 @@ type Entry struct {
 
 // Bounds returns the bounding rectangle of the entry's segment.
 func (e Entry) Bounds() geo.Rect { return e.Seg.Bounds() }
-
-// PointEntry returns an entry for a point location, encoded as a
-// degenerate segment. The location service indexes object positions this
-// way to reuse the segment indexes unchanged.
-func PointEntry(id int64, p geo.Point) Entry {
-	return Entry{ID: id, Seg: geo.Seg(p, p)}
-}
 
 // Hit is a query result: an entry and its distance to the query point.
 type Hit struct {
@@ -85,7 +79,7 @@ func kthDist(hits []Hit, k int, maxDist float64) float64 {
 }
 
 // Scan is the trivial O(n) reference implementation used to validate the
-// real indexes in tests and as a baseline in benchmarks.
+// grid in tests and as a baseline in benchmarks.
 type Scan struct {
 	entries []Entry
 }

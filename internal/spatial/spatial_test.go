@@ -24,12 +24,10 @@ func randomEntries(n int, size float64, seed int64) []Entry {
 	return entries
 }
 
-func allIndexes(bounds geo.Rect) map[string]Index {
+func allIndexes() map[string]Index {
 	return map[string]Index{
-		"scan":     NewScan(),
-		"grid":     NewGrid(250),
-		"rtree":    NewRTree(),
-		"quadtree": NewQuadTree(bounds),
+		"scan": NewScan(),
+		"grid": NewGrid(250),
 	}
 }
 
@@ -42,7 +40,7 @@ func buildWith(idx Index, entries []Entry) {
 
 func TestIndexLen(t *testing.T) {
 	entries := randomEntries(100, 5000, 1)
-	for name, idx := range allIndexes(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(5200, 5200)}) {
+	for name, idx := range allIndexes() {
 		buildWith(idx, entries)
 		if idx.Len() != 100 {
 			t.Errorf("%s: Len = %d", name, idx.Len())
@@ -51,7 +49,7 @@ func TestIndexLen(t *testing.T) {
 }
 
 func TestIndexEmptyQueries(t *testing.T) {
-	for name, idx := range allIndexes(geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(100, 100)}) {
+	for name, idx := range allIndexes() {
 		idx.Build()
 		if _, ok := idx.Nearest(geo.Pt(1, 1), 1e9); ok {
 			t.Errorf("%s: Nearest on empty index returned a hit", name)
@@ -72,11 +70,10 @@ func TestIndexEmptyQueries(t *testing.T) {
 
 func TestIndexSearchMatchesScan(t *testing.T) {
 	entries := randomEntries(500, 8000, 2)
-	bounds := geo.Rect{Min: geo.Pt(-200, -200), Max: geo.Pt(8400, 8400)}
 	ref := NewScan()
 	buildWith(ref, entries)
 	rng := rand.New(rand.NewSource(3))
-	for name, idx := range allIndexes(bounds) {
+	for name, idx := range allIndexes() {
 		if name == "scan" {
 			continue
 		}
@@ -117,11 +114,10 @@ func equalIDs(a, b []int64) bool {
 
 func TestIndexNearestMatchesScan(t *testing.T) {
 	entries := randomEntries(500, 8000, 4)
-	bounds := geo.Rect{Min: geo.Pt(-200, -200), Max: geo.Pt(8400, 8400)}
 	ref := NewScan()
 	buildWith(ref, entries)
 	rng := rand.New(rand.NewSource(5))
-	for name, idx := range allIndexes(bounds) {
+	for name, idx := range allIndexes() {
 		if name == "scan" {
 			continue
 		}
@@ -144,11 +140,10 @@ func TestIndexNearestMatchesScan(t *testing.T) {
 
 func TestIndexNearestKMatchesScan(t *testing.T) {
 	entries := randomEntries(300, 5000, 6)
-	bounds := geo.Rect{Min: geo.Pt(-200, -200), Max: geo.Pt(5400, 5400)}
 	ref := NewScan()
 	buildWith(ref, entries)
 	rng := rand.New(rand.NewSource(7))
-	for name, idx := range allIndexes(bounds) {
+	for name, idx := range allIndexes() {
 		if name == "scan" {
 			continue
 		}
@@ -173,9 +168,8 @@ func TestIndexNearestKMatchesScan(t *testing.T) {
 
 func TestNearestKSortedAscendingProperty(t *testing.T) {
 	entries := randomEntries(300, 5000, 8)
-	bounds := geo.Rect{Min: geo.Pt(0, 0), Max: geo.Pt(5200, 5200)}
 	rng := rand.New(rand.NewSource(9))
-	for name, idx := range allIndexes(bounds) {
+	for name, idx := range allIndexes() {
 		buildWith(idx, entries)
 		for q := 0; q < 50; q++ {
 			p := geo.Pt(rng.Float64()*5000, rng.Float64()*5000)
@@ -189,33 +183,9 @@ func TestNearestKSortedAscendingProperty(t *testing.T) {
 	}
 }
 
-func TestRTreeIncrementalInsertAfterBuild(t *testing.T) {
-	entries := randomEntries(200, 4000, 10)
-	tr := NewRTree()
-	buildWith(tr, entries[:100])
-	for _, e := range entries[100:] {
-		tr.Insert(e)
-	}
-	if tr.Len() != 200 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	ref := NewScan()
-	buildWith(ref, entries)
-	rng := rand.New(rand.NewSource(11))
-	for q := 0; q < 100; q++ {
-		p := geo.Pt(rng.Float64()*4000, rng.Float64()*4000)
-		want, wok := ref.Nearest(p, math.Inf(1))
-		got, gok := tr.Nearest(p, math.Inf(1))
-		if wok != gok || math.Abs(want.Dist-got.Dist) > 1e-9 {
-			t.Fatalf("after incremental insert: Nearest(%v) = %v,%v want %v,%v", p, got.Dist, gok, want.Dist, wok)
-		}
-	}
-}
-
 func TestSearchEarlyStop(t *testing.T) {
 	entries := randomEntries(200, 1000, 12)
-	bounds := geo.Rect{Min: geo.Pt(-100, -100), Max: geo.Pt(1300, 1300)}
-	for name, idx := range allIndexes(bounds) {
+	for name, idx := range allIndexes() {
 		buildWith(idx, entries)
 		count := 0
 		idx.Search(geo.Rect{Min: geo.Pt(-1e6, -1e6), Max: geo.Pt(1e6, 1e6)}, func(Entry) bool {
@@ -255,12 +225,9 @@ func TestInsertHitKeepsK(t *testing.T) {
 func BenchmarkSpatialIndexes(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		entries := randomEntries(n, 20000, 42)
-		bounds := geo.Rect{Min: geo.Pt(-500, -500), Max: geo.Pt(20500, 20500)}
 		idxs := map[string]Index{
-			"scan":     NewScan(),
-			"grid":     NewGrid(500),
-			"rtree":    NewRTree(),
-			"quadtree": NewQuadTree(bounds),
+			"scan": NewScan(),
+			"grid": NewGrid(500),
 		}
 		for name, idx := range idxs {
 			buildWith(idx, entries)

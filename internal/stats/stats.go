@@ -1,5 +1,5 @@
 // Package stats provides the small statistics toolkit used by the
-// simulation harness: streaming moments, histograms, quantiles and simple
+// simulation harness: streaming moments, quantiles and simple
 // tabular output.
 package stats
 

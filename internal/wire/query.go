@@ -2,13 +2,11 @@ package wire
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"sync/atomic"
 
 	"mapdr/internal/core"
-	"mapdr/internal/netsim"
 )
 
 // This file is the query half of the wire protocol: position, k-nearest
@@ -240,10 +238,6 @@ type QueryResponse struct {
 	// snapshot blob (the wire layer does not interpret it).
 	Metrics []byte
 }
-
-// ErrQueryDropped is returned by lossy query transports when the
-// request or response was lost in flight.
-var ErrQueryDropped = errors.New("wire: query dropped by link")
 
 func appendF64(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
@@ -859,60 +853,3 @@ func roundTrip(s QueryServer, req QueryRequest) (resp QueryResponse, reqN, respN
 	}
 	return resp, len(frame), len(out), nil
 }
-
-// SimQueryLink is the lossy query transport: request and response each
-// draw the netsim link's loss/disconnection model (sized as their real
-// encoded frames), so cluster experiments can measure query failure
-// rates under the same link conditions as the update path. The link's
-// clock is the request's T field. Latency is not modelled — queries are
-// synchronous — but the link still counts offered bytes.
-type SimQueryLink struct {
-	link *netsim.Link
-	s    QueryServer
-	c    queryCounters
-}
-
-// NewSimQueryLink returns a query transport over link against s. The
-// caller keeps ownership of link.
-func NewSimQueryLink(link *netsim.Link, s QueryServer) *SimQueryLink {
-	return &SimQueryLink{link: link, s: s}
-}
-
-// Query implements QueryTransport.
-func (t *SimQueryLink) Query(req QueryRequest) (QueryResponse, error) {
-	t.c.queries.Add(1)
-	frame, err := EncodeQueryRequest(req)
-	if err != nil {
-		t.c.errors.Add(1)
-		return QueryResponse{}, err
-	}
-	if !t.link.Offer(req.T, len(frame)) {
-		t.c.errors.Add(1)
-		return QueryResponse{}, ErrQueryDropped
-	}
-	t.c.bytesSent.Add(int64(len(frame)))
-	decoded, _, err := DecodeQueryRequest(frame)
-	if err != nil {
-		t.c.errors.Add(1)
-		return QueryResponse{}, err
-	}
-	out, err := EncodeQueryResponse(t.s.ServeQuery(decoded))
-	if err != nil {
-		t.c.errors.Add(1)
-		return QueryResponse{}, err
-	}
-	if !t.link.Offer(req.T, len(out)) {
-		t.c.errors.Add(1)
-		return QueryResponse{}, ErrQueryDropped
-	}
-	t.c.bytesReceived.Add(int64(len(out)))
-	resp, _, err := DecodeQueryResponse(out)
-	if err != nil {
-		t.c.errors.Add(1)
-		return QueryResponse{}, err
-	}
-	return resp, nil
-}
-
-// Stats returns the transport's traffic counters so far.
-func (t *SimQueryLink) Stats() QueryStats { return t.c.snapshot() }

@@ -1,13 +1,10 @@
 package wire
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
-
-	"mapdr/internal/netsim"
 )
 
 func sampleRequests() []QueryRequest {
@@ -224,44 +221,6 @@ func TestQueryLoopbackRoundTrips(t *testing.T) {
 	}
 	if st := lb.Stats(); st.Errors != 1 {
 		t.Fatalf("errors %d, want 1", st.Errors)
-	}
-}
-
-func TestSimQueryLinkLoss(t *testing.T) {
-	// Total loss: every query is dropped.
-	dead := NewSimQueryLink(netsim.NewLink(1, 0, 0, 1), echoServer())
-	if _, err := dead.Query(QueryRequest{Op: OpStats}); !errors.Is(err, ErrQueryDropped) {
-		t.Fatalf("err %v, want ErrQueryDropped", err)
-	}
-	if st := dead.Stats(); st.Errors != 1 || st.Queries != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-
-	// Lossless: answers equal the loopback's.
-	clean := NewSimQueryLink(netsim.NewLink(1, 0.2, 0.1, 0), echoServer())
-	lb := NewQueryLoopback(echoServer())
-	req := QueryRequest{Op: OpNearest, X: 3, Y: 4, K: 5, T: 6}
-	a, err := clean.Query(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := lb.Query(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("lossy-lossless answer %+v != loopback %+v", a, b)
-	}
-
-	// A disconnection window drops queries stamped inside it.
-	link := netsim.NewLink(1, 0, 0, 0)
-	link.Disconnections = []netsim.Window{{From: 10, To: 20}}
-	gap := NewSimQueryLink(link, echoServer())
-	if _, err := gap.Query(QueryRequest{Op: OpStats, T: 15}); !errors.Is(err, ErrQueryDropped) {
-		t.Fatalf("query inside outage: %v", err)
-	}
-	if _, err := gap.Query(QueryRequest{Op: OpStats, T: 25}); err != nil {
-		t.Fatalf("query after outage: %v", err)
 	}
 }
 
